@@ -1,7 +1,7 @@
 //! K1–K8 — criterion microbenchmarks of the computational kernels.
 //!
 //! These cover the building blocks whose constants determine the end-to-
-//! end numbers: local SpMM (serial vs rayon), LA-Decompose construction,
+//! end numbers: local SpMM (serial vs parallel), LA-Decompose construction,
 //! random spanning forests, the smallest-first layout, and the binomial
 //! broadcast of the comm substrate — plus the serving-path kernels: the
 //! fused active-prefix level multiply vs the naive three-pass reference,
@@ -36,7 +36,7 @@ fn bench_local_spmm(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("serial", k), &k, |bch, _| {
             bch.iter(|| spmm::spmm(&a, &x).unwrap())
         });
-        group.bench_with_input(BenchmarkId::new("rayon", k), &k, |bch, _| {
+        group.bench_with_input(BenchmarkId::new("parallel", k), &k, |bch, _| {
             bch.iter(|| spmm::spmm_parallel(&a, &x).unwrap())
         });
     }

@@ -1,8 +1,8 @@
 //! # amd-exec — the persistent work-stealing executor
 //!
 //! One shared thread pool for everything the serving stack runs in
-//! parallel: simulated machine ranks, data-parallel kernel chunks (via
-//! the vendored `rayon` facade), and the refresh worker's decompose.
+//! parallel: simulated machine ranks, data-parallel SpMM kernel chunks
+//! (via [`ExecPool::for_each_take`]), and the refresh worker's decompose.
 //! Before this crate existed, every [`Machine::run`] spawned and joined
 //! `p` fresh OS threads *per query* and every `par_chunks_mut` call
 //! spawned a scoped thread per core — so a serving stack answering

@@ -123,9 +123,14 @@ impl Shared {
     }
 }
 
+/// Distinct nonzero xorshift seed of worker `index`'s victim choice.
+fn worker_seed(index: usize) -> u64 {
+    0x9E37_79B9_7F4A_7C15u64 ^ (index as u64 + 1).wrapping_mul(0xA24B_AED4_963E_E407)
+}
+
 fn worker_main(shared: Arc<Shared>, index: usize) {
     WORKER.with(|w| w.set(Some((shared.identity(), index))));
-    let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ ((index as u64 + 1) * 0xA24B_AED4_963E_E407);
+    let mut rng = worker_seed(index);
     loop {
         if shared.shutdown.load(Ordering::Acquire) {
             return;
@@ -332,12 +337,12 @@ impl ExecPool {
     }
 
     /// Like [`for_each_index`](Self::for_each_index) but moves each
-    /// element of `items` into `f` exactly once (the vendored rayon
-    /// facade's chunk dispatch). Serial fallthrough when `items.len()
-    /// <= 1` or the pool has a single worker.
+    /// element of `items` into `f` exactly once (the SpMM kernels' chunk
+    /// dispatch). Serial fallthrough when `items.len() <= 1` or the pool
+    /// has a single worker.
     ///
     /// If `f` panics, elements not yet claimed may be leaked (never
-    /// dropped) — acceptable for the facade's `&mut` chunk items, which
+    /// dropped) — acceptable for the kernels' `&mut` chunk items, which
     /// have no drop glue; the panic itself propagates to the caller.
     pub fn for_each_take<I, F>(&self, mut items: Vec<I>, f: F)
     where
@@ -486,6 +491,15 @@ mod tests {
     use std::sync::atomic::AtomicU64;
 
     #[test]
+    fn worker_seeds_are_distinct_and_nonzero() {
+        // Overflow here panicked every worker but the first in debug
+        // builds, silently shrinking the pool.
+        let seeds: std::collections::HashSet<u64> = (0..1024).map(worker_seed).collect();
+        assert_eq!(seeds.len(), 1024);
+        assert!(!seeds.contains(&0));
+    }
+
+    #[test]
     fn scope_runs_borrowing_tasks() {
         let pool = ExecPool::new(4);
         let mut data = vec![0u64; 64];
@@ -623,8 +637,14 @@ mod tests {
         assert_eq!(one.load(Ordering::Relaxed), 1);
         pool.for_each_take(Vec::<u8>::new(), |_, _| panic!("must not run"));
         let single = Mutex::new(0u8);
+        let caller = std::thread::current().id();
         pool.for_each_take(vec![7u8], |i, v| {
             assert_eq!(i, 0);
+            assert_eq!(
+                std::thread::current().id(),
+                caller,
+                "dispatched to the pool"
+            );
             *single.lock().unwrap() = v;
         });
         assert_eq!(*single.lock().unwrap(), 7);

@@ -5,16 +5,17 @@
 //!
 //! * [`CooMatrix`] — a coordinate-format builder for sparse matrices,
 //! * [`CsrMatrix`] — compressed sparse row storage with serial and
-//!   rayon-parallel SpMM kernels,
+//!   pool-parallel SpMM kernels ([`spmm`]) on one register-blocked
+//!   micro-kernel,
 //! * [`DenseMatrix`] — row-major dense storage for the tall-skinny feature
 //!   matrices `X ∈ R^{n×k}` of the paper,
 //! * [`Permutation`] — vertex/row permutations `π` and the symmetric
 //!   reorderings `PᵀAP` used throughout the decomposition,
 //! * [`DeltaBuilder`] — the coalescing `ΔA` accumulator of the streaming
 //!   update layer, with [`ops::apply_delta`] folding a delta into a base,
-//! * fused active-prefix level kernels ([`kernel`]) — the serving hot path
-//!   that permutes, band-multiplies and accumulates in one cache-blocked
-//!   pass, generic over [`Scalar`] with a [`Dtype`] selector for f32
+//! * fused active-prefix level kernels ([`kernel`]) — the decomposition
+//!   multiply that permutes, band-multiplies and accumulates in one pass,
+//!   generic over [`Scalar`] with a [`Dtype`] selector for f32
 //!   half-bandwidth serving,
 //! * bandwidth and arrow-width measures ([`band`]).
 //!

@@ -2,20 +2,154 @@
 //!
 //! These are the local, per-rank kernels of the paper's distributed
 //! algorithms — the role played by cuSPARSE CSRMM in the original
-//! evaluation. The parallel variant splits over output rows with rayon,
-//! which is the natural decomposition for CSR × row-major dense.
+//! evaluation. Every multiply in the crate, including the fused level
+//! kernels of [`crate::kernel`], runs one register-blocked micro-kernel:
+//! one output row at a time, in column blocks of 8, then 4, then 1, each
+//! block's accumulator a fixed-size array the compiler keeps in
+//! registers. The parallel variant splits over output rows on
+//! the shared `amd-exec` pool, which is the natural decomposition for
+//! CSR × row-major dense.
+//!
+//! # Exactness
+//!
+//! Each output element sees the products of its row's nonzeros in CSR
+//! order, whatever the block width, so two summation contracts hold bit
+//! for bit: [`spmm`] and [`spmm_acc`] start from `y` and add each product
+//! in turn; the fused level kernels start from `+0.0` and add the
+//! finished sum to `y` once.
 
 use crate::csr::CsrMatrix;
 use crate::dense::DenseMatrix;
 use crate::error::{SparseError, SparseResult};
 use crate::scalar::{Dtype, Scalar};
-use rayon::prelude::*;
+
+/// Output rows per pool task in [`spmm_parallel`].
+const ROWS_PER_TASK: usize = 64;
+
+/// How [`csr_row`] combines a row's products with the output row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RowSum {
+    /// `out = ((out + p₀) + p₁) + …`: the contract of [`spmm_acc`].
+    Into,
+    /// `out = out + ((+0.0 + p₀) + p₁ + …)`: the contract of the fused
+    /// level kernels, whose reference runs the level SpMM into zeros and
+    /// adds the result to `y` once.
+    Fresh,
+}
+
+/// The CSR × dense micro-kernel: one output row
+/// `out[j] ⊕= Σ prod(vals[i], x[xrow(cols[i])][j])`, combined per `sum`.
+///
+/// `x` is the flat row-major operand with `out.len()` columns and `xrow`
+/// maps a column index of the sparse row to its operand row. Columns run
+/// in blocks of 8, then 4, then 1; within a block the nonzeros are added
+/// in CSR order, so the per-element operation sequence does not depend
+/// on the block width. An empty row leaves `out` untouched (not even
+/// rewritten, so untouched zero pages of a fresh output stay unmapped).
+#[inline(always)]
+pub(crate) fn csr_row<T: Scalar>(
+    cols: &[u32],
+    vals: &[T],
+    x: &[T],
+    xrow: impl Fn(u32) -> usize + Copy,
+    out: &mut [T],
+    sum: RowSum,
+    prod: impl Fn(T, T) -> T + Copy,
+) {
+    if cols.is_empty() {
+        return;
+    }
+    let k = out.len();
+    if k == 1 {
+        // A plain running sum.
+        block::<T, 1>(cols, vals, x, 1, 0, xrow, out, sum, prod);
+        return;
+    }
+    let mut j = 0;
+    while j + 8 <= k {
+        block::<T, 8>(cols, vals, x, k, j, xrow, out, sum, prod);
+        j += 8;
+    }
+    if j + 4 <= k {
+        block::<T, 4>(cols, vals, x, k, j, xrow, out, sum, prod);
+        j += 4;
+    }
+    while j < k {
+        block::<T, 1>(cols, vals, x, k, j, xrow, out, sum, prod);
+        j += 1;
+    }
+}
+
+/// Columns `j0..j0 + W` of [`csr_row`], accumulated in a `[T; W]`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn block<T: Scalar, const W: usize>(
+    cols: &[u32],
+    vals: &[T],
+    x: &[T],
+    k: usize,
+    j0: usize,
+    xrow: impl Fn(u32) -> usize,
+    out: &mut [T],
+    sum: RowSum,
+    prod: impl Fn(T, T) -> T,
+) {
+    let out: &mut [T; W] = (&mut out[j0..j0 + W]).try_into().expect("W-wide slice");
+    let mut acc = match sum {
+        RowSum::Into => *out,
+        RowSum::Fresh => [T::ZERO; W],
+    };
+    for (&c, &v) in cols.iter().zip(vals) {
+        let base = xrow(c) * k + j0;
+        let xr: &[T; W] = x[base..base + W].try_into().expect("W-wide slice");
+        for i in 0..W {
+            acc[i] += prod(v, xr[i]);
+        }
+    }
+    match sum {
+        RowSum::Into => *out = acc,
+        RowSum::Fresh => {
+            for i in 0..W {
+                out[i] += acc[i];
+            }
+        }
+    }
+}
+
+/// `y[r0 + i] += Σ prod(A[r0 + i, c], x[c])` for every row of `y`, a
+/// block of whole output rows; a zero-width `x` is a no-op.
+#[inline(always)]
+fn spmm_rows<T: Scalar>(
+    a: &CsrMatrix<T>,
+    x: &DenseMatrix<T>,
+    r0: usize,
+    y: &mut [T],
+    prod: impl Fn(T, T) -> T + Copy,
+) {
+    let k = x.cols() as usize;
+    if k == 0 {
+        return;
+    }
+    let (indices, values) = (a.indices(), a.values());
+    for (w, out) in a.indptr()[r0..].windows(2).zip(y.chunks_exact_mut(k)) {
+        let (s, e) = (w[0], w[1]);
+        csr_row(
+            &indices[s..e],
+            &values[s..e],
+            x.data(),
+            |c| c as usize,
+            out,
+            RowSum::Into,
+            prod,
+        );
+    }
+}
 
 /// Serial `Y = A · X` for CSR `A` and dense `X`.
 pub fn spmm<T: Scalar>(a: &CsrMatrix<T>, x: &DenseMatrix<T>) -> SparseResult<DenseMatrix<T>> {
     check_shapes(a, x)?;
     let mut y = DenseMatrix::zeros(a.rows(), x.cols());
-    spmm_into(a, x, &mut y);
+    spmm_rows(a, x, 0, y.data_mut(), |v, xv| v * xv);
     Ok(y)
 }
 
@@ -25,49 +159,28 @@ pub fn spmm_acc<T: Scalar>(
     x: &DenseMatrix<T>,
     y: &mut DenseMatrix<T>,
 ) -> SparseResult<()> {
-    check_shapes(a, x)?;
-    if y.rows() != a.rows() || y.cols() != x.cols() {
-        return Err(SparseError::ShapeMismatch {
-            left: (a.rows(), x.cols()),
-            right: (y.rows(), y.cols()),
-        });
-    }
-    spmm_into(a, x, y);
+    check_acc_shapes(a, x, y)?;
+    spmm_rows(a, x, 0, y.data_mut(), |v, xv| v * xv);
     Ok(())
 }
 
-fn spmm_into<T: Scalar>(a: &CsrMatrix<T>, x: &DenseMatrix<T>, y: &mut DenseMatrix<T>) {
-    let k = x.cols() as usize;
-    for r in 0..a.rows() {
-        let out = y.row_mut(r);
-        for (&c, &v) in a.row_indices(r).iter().zip(a.row_values(r)) {
-            let xr = x.row(c);
-            for j in 0..k {
-                out[j] += v * xr[j];
-            }
-        }
-    }
-}
-
-/// Rayon-parallel `Y = A · X`, splitting work over output rows.
+/// Parallel `Y = A · X` on the shared `amd-exec` pool, splitting work
+/// over blocks of output rows. Bit-identical to [`spmm`]: each row is
+/// computed by one task with the same operation sequence.
 pub fn spmm_parallel<T: Scalar>(
     a: &CsrMatrix<T>,
     x: &DenseMatrix<T>,
 ) -> SparseResult<DenseMatrix<T>> {
     check_shapes(a, x)?;
     let k = x.cols() as usize;
-    let n = a.rows() as usize;
-    let mut data = vec![T::ZERO; n * k];
-    data.par_chunks_mut(k).enumerate().for_each(|(r, out)| {
-        let r = r as u32;
-        for (&c, &v) in a.row_indices(r).iter().zip(a.row_values(r)) {
-            let xr = x.row(c);
-            for j in 0..k {
-                out[j] += v * xr[j];
-            }
-        }
-    });
-    DenseMatrix::from_vec(a.rows(), x.cols(), data)
+    let mut y = DenseMatrix::zeros(a.rows(), x.cols());
+    if k > 0 {
+        let tasks: Vec<&mut [T]> = y.data_mut().chunks_mut(ROWS_PER_TASK * k).collect();
+        amd_exec::global().for_each_take(tasks, |i, out| {
+            spmm_rows(a, x, i * ROWS_PER_TASK, out, |v, xv| v * xv)
+        });
+    }
+    Ok(y)
 }
 
 /// Serial `Y += A · X` at a selectable serving precision, over `f64`
@@ -88,26 +201,10 @@ pub fn spmm_acc_dtype(
     y: &mut DenseMatrix<f64>,
     dtype: Dtype,
 ) -> SparseResult<()> {
-    if dtype == Dtype::F64 {
-        return spmm_acc(a, x, y);
-    }
-    check_shapes(a, x)?;
-    if y.rows() != a.rows() || y.cols() != x.cols() {
-        return Err(SparseError::ShapeMismatch {
-            left: (a.rows(), x.cols()),
-            right: (y.rows(), y.cols()),
-        });
-    }
-    let k = x.cols() as usize;
-    for r in 0..a.rows() {
-        let out = y.row_mut(r);
-        for (&c, &v) in a.row_indices(r).iter().zip(a.row_values(r)) {
-            let v32 = v as f32;
-            let xr = x.row(c);
-            for j in 0..k {
-                out[j] += (v32 * xr[j] as f32) as f64;
-            }
-        }
+    check_acc_shapes(a, x, y)?;
+    match dtype {
+        Dtype::F64 => spmm_rows(a, x, 0, y.data_mut(), |v, xv| v * xv),
+        Dtype::F32 => spmm_rows(a, x, 0, y.data_mut(), |v, xv| (v as f32 * xv as f32) as f64),
     }
     Ok(())
 }
@@ -160,6 +257,21 @@ fn check_shapes<T: Scalar>(a: &CsrMatrix<T>, x: &DenseMatrix<T>) -> SparseResult
     Ok(())
 }
 
+fn check_acc_shapes<T: Scalar>(
+    a: &CsrMatrix<T>,
+    x: &DenseMatrix<T>,
+    y: &DenseMatrix<T>,
+) -> SparseResult<()> {
+    check_shapes(a, x)?;
+    if y.rows() != a.rows() || y.cols() != x.cols() {
+        return Err(SparseError::ShapeMismatch {
+            left: (a.rows(), x.cols()),
+            right: (y.rows(), y.cols()),
+        });
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,6 +301,16 @@ mod tests {
         let ys = spmm(&a, &x).unwrap();
         let yp = spmm_parallel(&a, &x).unwrap();
         assert_eq!(ys, yp);
+    }
+
+    #[test]
+    fn zero_width_rhs_gives_empty_output() {
+        let (a, _) = small();
+        let x = DenseMatrix::<f64>::zeros(2, 0);
+        let want = DenseMatrix::<f64>::zeros(2, 0);
+        assert_eq!(spmm(&a, &x).unwrap(), want);
+        assert_eq!(spmm_parallel(&a, &x).unwrap(), want);
+        assert_eq!(spmm_dtype(&a, &x, Dtype::F32).unwrap(), want);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the sparse substrate.
 
-use amd_sparse::{ops, spmm, CooMatrix, CsrMatrix, DeltaBuilder, DenseMatrix, Permutation};
+use amd_sparse::{ops, spmm, CooMatrix, CsrMatrix, DeltaBuilder, DenseMatrix, Dtype, Permutation};
 use proptest::prelude::*;
 
 /// Strategy: a random sparse matrix of shape up to 24×24 with up to 64
@@ -11,6 +11,30 @@ fn coo_strategy() -> impl Strategy<Value = CooMatrix<f64>> {
             CooMatrix::from_triplets(rows, cols, trips).expect("in-bounds by construction")
         })
     })
+}
+
+/// The scalar `Y += A · X` loop the register-blocked kernel replaced, kept
+/// as the bit-exactness oracle; `prod` is the per-nonzero product.
+fn scalar_spmm_acc(
+    a: &CsrMatrix<f64>,
+    x: &DenseMatrix<f64>,
+    y: &mut DenseMatrix<f64>,
+    prod: impl Fn(f64, f64) -> f64,
+) {
+    let k = x.cols() as usize;
+    for r in 0..a.rows() {
+        let out = y.row_mut(r);
+        for (&c, &v) in a.row_indices(r).iter().zip(a.row_values(r)) {
+            let xr = x.row(c);
+            for j in 0..k {
+                out[j] += prod(v, xr[j]);
+            }
+        }
+    }
+}
+
+fn bits(m: &DenseMatrix<f64>) -> Vec<u64> {
+    m.data().iter().map(|v| v.to_bits()).collect()
 }
 
 /// Strategy: a random permutation of size n (as a shuffled order vector).
@@ -112,14 +136,40 @@ proptest! {
     }
 
     #[test]
-    fn spmm_matches_dense_reference(coo in coo_strategy(), k in 1u32..5) {
+    fn spmm_matches_dense_reference(coo in coo_strategy(), k in 0u32..=70, seed in any::<u64>()) {
+        // k crosses every block width (8, 4, 1) and remainder; values are
+        // non-integer, so only an identical operation order matches bits.
+        use rand::prelude::*;
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let a = coo.to_csr();
-        let x = DenseMatrix::from_fn(a.cols(), k, |r, c| ((r * 7 + c * 3) % 5) as f64 - 2.0);
+        let x = DenseMatrix::from_fn(a.cols(), k, |_, _| rng.gen_range(-2.0..2.0));
+        let y0 = DenseMatrix::from_fn(a.rows(), k, |_, _| rng.gen_range(-8.0..8.0));
+        let f64_prod = |v: f64, xv: f64| v * xv;
+        let f32_prod = |v: f64, xv: f64| (v as f32 * xv as f32) as f64;
+
         let fast = spmm::spmm(&a, &x).unwrap();
+        let mut want = DenseMatrix::zeros(a.rows(), k);
+        scalar_spmm_acc(&a, &x, &mut want, f64_prod);
+        prop_assert_eq!(bits(&fast), bits(&want));
         let slow = spmm::spmm_dense_reference(&a, &x).unwrap();
         prop_assert!(fast.max_abs_diff(&slow).unwrap() < 1e-9);
         let par = spmm::spmm_parallel(&a, &x).unwrap();
-        prop_assert!(par.max_abs_diff(&slow).unwrap() < 1e-9);
+        prop_assert_eq!(bits(&par), bits(&fast));
+
+        // Accumulation into a nonzero y, at both serving precisions.
+        let mut want = y0.clone();
+        scalar_spmm_acc(&a, &x, &mut want, f64_prod);
+        let mut got = y0.clone();
+        spmm::spmm_acc(&a, &x, &mut got).unwrap();
+        prop_assert_eq!(bits(&got), bits(&want));
+        let mut got = y0.clone();
+        spmm::spmm_acc_dtype(&a, &x, &mut got, Dtype::F64).unwrap();
+        prop_assert_eq!(bits(&got), bits(&want));
+        let mut want = y0.clone();
+        scalar_spmm_acc(&a, &x, &mut want, f32_prod);
+        let mut got = y0.clone();
+        spmm::spmm_acc_dtype(&a, &x, &mut got, Dtype::F32).unwrap();
+        prop_assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

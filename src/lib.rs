@@ -21,7 +21,7 @@
 //! * [`comm`] — the message-passing machine with α-β cost accounting.
 //! * [`exec`] — the persistent work-stealing executor: one shared
 //!   thread pool for machine ranks (cached blocking rank slots),
-//!   data-parallel kernel chunks (via the vendored `rayon` facade), and
+//!   data-parallel SpMM kernel chunks, and
 //!   the refresh worker's decompose. Sized once per process
 //!   (`--threads N` / `AMD_EXEC_THREADS` / `available_parallelism`);
 //!   results never depend on the pool size.
